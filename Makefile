@@ -50,8 +50,8 @@ conformance:
 	$(GO) test -race -count=1 -run 'TestSchedulerConformance' ./internal/drive
 
 # The live counterpart over real sockets: every registry strategy across
-# {dedicated PS, muxed PS, ring, tree}, plus the sim≡live collective mirror,
-# under the race detector.
+# {PS with one single-stream conn per worker, PS with one shared conn, ring,
+# tree}, plus the sim≡live collective mirror, under the race detector.
 conformance-live:
 	$(GO) test -race -count=1 -run 'TestLiveTransportConformance|TestMirrorCollectiveTransports|TestCollectiveAckIsZero' ./internal/emu
 

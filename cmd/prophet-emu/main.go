@@ -1,6 +1,7 @@
 // Command prophet-emu runs the live emulation: real data-parallel SGD on a
-// real MLP over a real concurrent wire — a sharded parameter server
-// (dedicated or multiplexed connections) or a peer-to-peer ring/tree
+// real MLP over a real concurrent wire — a sharded parameter server (one
+// connection per worker, or one shared connection per shard) or a
+// peer-to-peer ring/tree
 // collective — under a chosen push schedule. Losses are identical across
 // schedules (deterministic synchronous aggregation); tensor-0 latency and
 // wall time differ.
@@ -115,12 +116,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	wire := "PS, dedicated conns"
+	wire := "PS, one single-stream conn per worker×shard"
 	switch {
 	case *transport != "" && *transport != "ps":
 		wire = "live " + *transport + " collective"
 	case *mux:
-		wire = "PS, muxed conns"
+		wire = "PS, one shared conn per shard"
 	}
 	fmt.Printf("policy %s: %d workers, %d iterations, %.1f MB/s links, %d PS shard(s), %s\n",
 		*policy, *workers, *iters, *bandwidth/1e6, *shards, wire)

@@ -37,6 +37,7 @@ func TestChaosStragglerDropped(t *testing.T) {
 	cfg.Failure = DropWorker
 	cfg.PullTimeout = 10 * time.Second
 	cfg.StragglerTimeout = 50 * time.Millisecond
+	start := time.Now()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +47,11 @@ func TestChaosStragglerDropped(t *testing.T) {
 	}
 	if len(res.Losses) != cfg.Iterations {
 		t.Fatalf("worker 0 recorded %d losses, want %d", len(res.Losses), cfg.Iterations)
+	}
+	// Dropping the straggler closes its connection, failing its pending
+	// pulls at once: the run must not wait out the straggler's PullTimeout.
+	if elapsed := time.Since(start); elapsed >= cfg.PullTimeout/2 {
+		t.Fatalf("run took %v: the dropped worker was not unblocked (pull timeout %v)", elapsed, cfg.PullTimeout)
 	}
 }
 
@@ -70,8 +76,9 @@ func TestChaosDropFailFast(t *testing.T) {
 // the server reject the worker; fail-fast surfaces it with attribution.
 func TestChaosCorruptFrameFailsDescriptively(t *testing.T) {
 	cfg := chaosConfig(t)
-	// Offset 12 is the high byte of the first push frame's length prefix.
-	cfg.Faults = map[int]fault.Spec{1: fault.CorruptAt(12)}
+	// Offset 16 is the high byte of the first push frame's length prefix
+	// in the 17-byte tagged header (stream id, type, iter, tensor, length).
+	cfg.Faults = map[int]fault.Spec{1: fault.CorruptAt(16)}
 	cfg.Failure = FailFast
 	cfg.PullTimeout = 2 * time.Second
 	_, err := Run(cfg)

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -127,24 +128,25 @@ type Config struct {
 	// ShardPlacement selects the key→shard map (default round-robin).
 	ShardPlacement shard.Placement
 
-	// Mux multiplexes every in-process worker onto ONE shared connection
-	// per shard (internal/transport tagged frames, one logical stream per
-	// worker) instead of a dedicated socket per worker×shard pair. The
-	// per-connection goroutine cost becomes per-shard instead of
-	// per-worker×shard, which is what makes Workers ≥ 1000 practical on a
-	// single host. Scheduling decisions are unaffected — they replay
-	// before any byte moves — so decision logs and training trajectories
-	// are bit-identical to the unmuxed path. The shared per-shard pipe is
-	// shaped to Workers×BandwidthBytesPerSec, preserving each worker's B
-	// fair share and the per-shard aggregate of the dedicated transport;
-	// timing differs only in serialization (one worker can transiently
-	// burst past B on the shared wire). Byte-offset fault injectors
-	// (drop/stall/corrupt) compose with Mux: they wrap the shared
-	// per-shard pipe, where the tagged stream hits the same byte offsets
-	// as a dedicated connection (see fault/mux_compose_test.go) — though a
-	// tripped injector naturally perturbs every worker on the pipe, not
+	// Mux selects how PS connections are laid out. Every connection is a
+	// transport.MuxConn (tagged frames, one logical stream per worker it
+	// carries) served by one ps.Server.ServeMux goroutine. Without Mux each
+	// worker×shard pair gets its own single-stream connection shaped to
+	// BandwidthBytesPerSec; with Mux every in-process worker shares ONE
+	// connection per shard, shaped to Workers×BandwidthBytesPerSec. A
+	// connection costs four goroutines whatever it carries, so Mux turns a
+	// per-worker×shard cost into a per-shard one — which is what makes
+	// Workers ≥ 1000 practical on a single host. Scheduling decisions are
+	// unaffected — they replay before any byte moves — so decision logs
+	// and training trajectories are bit-identical across both layouts.
+	// The shared pipe preserves each worker's B fair share and the
+	// per-shard aggregate; timing differs only in serialization (one
+	// worker can transiently burst past B on the shared wire). Byte-offset
+	// fault injectors (drop/stall/corrupt) wrap whichever connection
+	// carries the faulted worker (see fault/mux_compose_test.go), so
+	// under Mux a tripped injector perturbs every worker on the pipe, not
 	// just the one whose spec it was. Per-worker rate shaping (Throttle)
-	// stays incompatible: it would throttle the whole shared wire.
+	// is incompatible with Mux: it would throttle the whole shared wire.
 	Mux bool
 
 	// Faults maps a worker id to a fault injection spec applied to that
@@ -330,90 +332,82 @@ func Run(cfg Config) (*Result, error) {
 	}
 	shards := smap.Shards()
 
-	// One server per shard; each worker holds one rate-shaped connection
-	// per shard (each shard link runs at the full configured bandwidth, so
-	// aggregate PS ingest scales with the shard count — matching the
-	// simulator's ShardUplink default). A worker's fault spec wraps every
-	// one of its shard connections.
+	// One server per shard. Each connection is a MuxConn carrying a set of
+	// worker ids (stream i is ids[i]): under Mux one connection per shard
+	// carries every worker, otherwise each worker×shard pair gets its own
+	// single-stream connection. A connection is shaped to len(ids)×B, so
+	// each worker's fair share is B either way and each shard link runs at
+	// the full configured bandwidth per worker — aggregate PS ingest scales
+	// with the shard count, matching the simulator's ShardUplink default.
+	// (On a shared pipe a lone bursting worker can transiently exceed B,
+	// since the wire serializes rather than partitions.)
 	servers := make([]*ps.Server, shards)
-	serverConns := make([][]net.Conn, shards)
-	clients := make([]*ps.ShardedClient, cfg.Workers)
-	rawConns := make([]net.Conn, 0, cfg.Workers*shards)
-	for s := 0; s < shards; s++ {
+	for s := range servers {
 		servers[s] = ps.NewServer(cfg.Workers)
 		servers[s].SetMetrics(cfg.Metrics)
 	}
-	var groups []*ps.MuxGroup
+	var idSets [][]int
 	if cfg.Mux {
-		// One shared connection per shard; every worker is a logical
-		// stream on it. The shared pipe is shaped to Workers×B: unmuxed,
-		// each worker×shard pipe carries B, so the per-shard aggregate is
-		// Workers×B — shaping the one shared link to that aggregate keeps
-		// each worker's fair share at B and timing comparable across
-		// transports (though a lone bursting worker can transiently exceed
-		// B, since the wire serializes rather than partitions).
-		muxBW := cfg.BandwidthBytesPerSec * float64(cfg.Workers)
-		groups = make([]*ps.MuxGroup, shards)
-		// Byte-offset injectors compose on the shared pipe: the tagged
-		// stream hits the same offsets as a dedicated connection. Specs
-		// wrap in ascending worker order so offsets stay deterministic; a
-		// tripped injector perturbs every worker sharing the pipe.
-		faultWorkers := make([]int, 0, len(cfg.Faults))
-		for w := range cfg.Faults {
-			faultWorkers = append(faultWorkers, w)
+		all := make([]int, cfg.Workers)
+		for w := range all {
+			all[w] = w
 		}
-		sort.Ints(faultWorkers)
-		for s := 0; s < shards; s++ {
-			a, b := transport.Pipe(muxBW, muxBW)
+		idSets = [][]int{all}
+	} else {
+		idSets = make([][]int, cfg.Workers)
+		for w := range idSets {
+			idSets[w] = []int{w}
+		}
+	}
+	// Fault specs wrap a connection in ascending worker order, so byte
+	// offsets stay deterministic; a tripped injector perturbs every worker
+	// the connection carries.
+	faultWorkers := make([]int, 0, len(cfg.Faults))
+	for w := range cfg.Faults {
+		faultWorkers = append(faultWorkers, w)
+	}
+	sort.Ints(faultWorkers)
+	type psConn struct {
+		shard int
+		ids   []int
+		a, b  net.Conn // client end (metered, fault-wrapped), server end
+		g     *ps.MuxGroup
+	}
+	var conns []psConn
+	links := make([][]*ps.MuxWorker, cfg.Workers)
+	for w := range links {
+		links[w] = make([]*ps.MuxWorker, shards)
+	}
+	for s := 0; s < shards; s++ {
+		for _, ids := range idSets {
+			bw := cfg.BandwidthBytesPerSec * float64(len(ids))
+			a, b := transport.Pipe(bw, bw)
+			// Meter inside the fault wrap, so only bytes that actually
+			// reach the wire are counted.
 			a = transport.Meter(a, cfg.Metrics, "transport_worker")
 			for _, w := range faultWorkers {
+				if !slices.Contains(ids, w) {
+					continue
+				}
 				var onFault func(string)
 				if obs := cfg.Observer; obs != nil {
-					w := w
 					onFault = func(kind string) { obs.FaultInjected(w, kind, clock()) }
 				}
 				a = cfg.Faults[w].WrapObserved(a, onFault)
 			}
-			rawConns = append(rawConns, a)
-			groups[s] = ps.NewMuxGroup(a, cfg.Workers, ps.MuxGroupOptions{
+			g := ps.NewMuxGroup(a, len(ids), ps.MuxGroupOptions{
 				PullTimeout: pullTimeout,
 				Metrics:     cfg.Metrics,
 			})
-			serverConns[s] = []net.Conn{b}
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			links := make([]ps.WorkerLink, shards)
-			for s := range links {
-				links[s] = groups[s].Worker(w)
+			for i, w := range ids {
+				links[w][s] = g.Worker(i)
 			}
-			clients[w] = ps.NewShardedLinks(links, smap.Of)
+			conns = append(conns, psConn{shard: s, ids: ids, a: a, b: b, g: g})
 		}
-	} else {
-		perWorker := make([][]*ps.Client, cfg.Workers)
-		for s := 0; s < shards; s++ {
-			serverConns[s] = make([]net.Conn, cfg.Workers)
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			perWorker[w] = make([]*ps.Client, shards)
-			for s := 0; s < shards; s++ {
-				a, b := transport.Pipe(cfg.BandwidthBytesPerSec, cfg.BandwidthBytesPerSec)
-				// Meter inside the fault wrap, so only bytes that actually
-				// reach the wire are counted.
-				a = transport.Meter(a, cfg.Metrics, "transport_worker")
-				if spec, ok := cfg.Faults[w]; ok {
-					var onFault func(string)
-					if obs := cfg.Observer; obs != nil {
-						w := w
-						onFault = func(kind string) { obs.FaultInjected(w, kind, clock()) }
-					}
-					a = spec.WrapObserved(a, onFault)
-				}
-				rawConns = append(rawConns, a)
-				perWorker[w][s] = ps.NewClientWithOptions(a, ps.Options{PullTimeout: pullTimeout, Metrics: cfg.Metrics})
-				serverConns[s][w] = b
-			}
-			clients[w] = ps.NewShardedClient(perWorker[w], smap.Of)
-		}
+	}
+	clients := make([]*ps.ShardedClient, cfg.Workers)
+	for w := range clients {
+		clients[w] = ps.NewShardedLinks(links[w], smap.Of)
 	}
 
 	// abort unblocks every goroutine by closing all connections; fatal
@@ -428,13 +422,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		fatalMu.Unlock()
 		abortOnce.Do(func() {
-			for _, c := range rawConns {
-				c.Close()
-			}
-			for _, cs := range serverConns {
-				for _, c := range cs {
-					c.Close()
-				}
+			for _, c := range conns {
+				c.a.Close()
+				c.b.Close()
 			}
 		})
 	}
@@ -479,21 +469,11 @@ func Run(cfg Config) (*Result, error) {
 		defer watchdog.Stop()
 	}
 
-	serveDone := make(chan error, shards)
-	if cfg.Mux {
-		// A single demux goroutine (this one) plus the server's bounded
-		// responder handle all workers of a shard.
-		muxIDs := make([]int, cfg.Workers)
-		for w := range muxIDs {
-			muxIDs[w] = w
-		}
-		for s := 0; s < shards; s++ {
-			go func(s int) { serveDone <- servers[s].ServeMux(serverConns[s][0], muxIDs) }(s)
-		}
-	} else {
-		for s := 0; s < shards; s++ {
-			go func(s int) { serveDone <- servers[s].Serve(serverConns[s]) }(s)
-		}
+	// One ServeMux goroutine per connection: its demux loop plus the
+	// server's responder handle every worker the connection carries.
+	serveDone := make(chan error, len(conns))
+	for _, c := range conns {
+		go func(c psConn) { serveDone <- servers[c.shard].ServeMux(c.b, c.ids) }(c)
 	}
 
 	res := &Result{}
@@ -514,19 +494,15 @@ func Run(cfg Config) (*Result, error) {
 	for _, c := range clients {
 		c.Close()
 	}
-	// Mux groups own the shared client-side conns: closing them is what
-	// delivers the clean EOF that lets ServeMux return (a MuxWorker's own
-	// Close is worker-local by design).
-	for _, g := range groups {
-		g.Close()
-	}
-	for _, cs := range serverConns {
-		for _, c := range cs {
-			c.Close()
-		}
+	// Mux groups own the client-side conns: closing them is what delivers
+	// the clean EOF that lets ServeMux return (a MuxWorker's own Close is
+	// worker-local by design).
+	for _, c := range conns {
+		c.g.Close()
+		c.b.Close()
 	}
 	var serveErrs []error
-	for s := 0; s < shards; s++ {
+	for range conns {
 		serveErrs = append(serveErrs, <-serveDone)
 	}
 	serveErr := errors.Join(serveErrs...)

@@ -15,7 +15,7 @@ import (
 // worker loop decides *what* to send (the scheduler, replayed through a
 // drive.Driver) and the engine decides *how* the bytes move and how the
 // aggregated gradients come back. Two implementations exist: psEngine
-// (sharded parameter server over dedicated or multiplexed connections —
+// (sharded parameter server over per-worker or shared mux connections —
 // the paper's testbed) and collectiveEngine (peer-to-peer ring/tree chunk
 // exchange, see internal/collective). Probe span emission for the wire
 // lives behind the engine too, so both transports produce the event
@@ -68,9 +68,10 @@ type planner interface {
 type psEngine struct {
 	client  *ps.ShardedClient
 	metrics *probe.Metrics
-	// inline selects the mux dispatch path: the shared per-shard
-	// connection serializes writes anyway, so per-shard writer goroutines
-	// buy nothing.
+	// inline selects the shared-connection dispatch path: one connection
+	// per shard carries every worker and serializes writes anyway, so
+	// per-shard writer goroutines buy nothing. On per-worker connections
+	// they let one worker's shard links transmit in parallel.
 	inline bool
 
 	pp    pushParams
@@ -105,7 +106,7 @@ func (e *psEngine) LaneOf() func(int) int { return e.client.ShardOf }
 // sub-sends back-to-back).
 //
 // A shard writer flushes all tensors of one send — plus their inline pull
-// requests — as ONE buffered write (ps.Client.PushPullBatch): the live
+// requests — as ONE buffered write (ps.MuxWorker.PushPullBatch): the live
 // analogue of the simulator's message granularity, and the Parameter-Box
 // batched wire format. Strategies whose messages complete one tensor at a
 // time (FIFO, credit slices) degenerate to one push+pull-request pair per
@@ -188,7 +189,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 	return errors.Join(errs...)
 }
 
-// dispatchInline is Dispatch for the mux transport: the worker dispatches
+// dispatchInline is Dispatch for the shared connection (Mux): the worker dispatches
 // each send itself, in decision order. The cross-shard priority gate holds
 // trivially (send k's batch returns before send k+1 is offered), and the
 // probe event stream keeps the exact shape of the goroutine path:

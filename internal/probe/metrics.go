@@ -12,7 +12,7 @@ import (
 )
 
 // Metrics is a concurrency-safe registry of named counters and sparse
-// histograms for the live path: transport retries, redials, pull timeouts,
+// histograms for the live path: transport retries, lost connections, pull timeouts,
 // dropped workers, fault injections, per-shard queue depths. It is the
 // expvar analogue for this repo — JSON-dumpable at end of run and
 // servable over HTTP (prophet-emu -debug-addr) — without the package-level

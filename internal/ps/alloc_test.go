@@ -1,40 +1,76 @@
 package ps
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"prophet/internal/transport"
 )
 
-// sinkConn is a net.Conn whose writes vanish and whose reads block until
-// Close — a stand-in server that lets the client's write path run at full
-// speed with the read loop parked.
+// sinkConn is a stand-in single-stream mux peer: written bytes vanish and
+// are granted straight back as stream-0 credit, so a sender's write path
+// runs at full speed with no server behind it. Reads block until there is
+// credit to hand back or the conn closes.
 type sinkConn struct {
-	once   sync.Once
-	closed chan struct{}
+	mu     sync.Mutex
+	cond   *sync.Cond
+	owed   int64 // written bytes not yet granted back
+	closed bool
+	hdr    [transport.MuxHeaderSize]byte // credit frame being read out
+	hdrOff int                           // bytes of hdr already read
 }
 
-func newSinkConn() *sinkConn { return &sinkConn{closed: make(chan struct{})} }
+func newSinkConn() *sinkConn {
+	c := &sinkConn{hdrOff: transport.MuxHeaderSize}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
 
 func (c *sinkConn) Read(b []byte) (int, error) {
-	<-c.closed
-	return 0, net.ErrClosed
-}
-func (c *sinkConn) Write(b []byte) (int, error) {
-	select {
-	case <-c.closed:
-		return 0, net.ErrClosed
-	default:
-		return len(b), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.hdrOff == len(c.hdr) && c.owed == 0 && !c.closed {
+		c.cond.Wait()
 	}
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	if c.hdrOff == len(c.hdr) {
+		// Stage a credit frame: stream 0, grant amount in the iter field.
+		c.hdr = [transport.MuxHeaderSize]byte{}
+		c.hdr[4] = byte(transport.Credit)
+		binary.LittleEndian.PutUint32(c.hdr[5:9], uint32(c.owed))
+		c.owed, c.hdrOff = 0, 0
+	}
+	n := copy(b, c.hdr[c.hdrOff:])
+	c.hdrOff += n
+	return n, nil
 }
+
+func (c *sinkConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	c.owed += int64(len(b))
+	c.cond.Signal()
+	return len(b), nil
+}
+
 func (c *sinkConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
+	c.mu.Lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
 	return nil
 }
+
 func (c *sinkConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
 func (c *sinkConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
 func (c *sinkConn) SetDeadline(t time.Time) error      { return nil }
@@ -42,15 +78,15 @@ func (c *sinkConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *sinkConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestClientPushZeroAllocs pins the write-side hot-path contract: once the
-// frame writer's scratch has grown, Push encodes and flushes a gradient
-// with zero allocations.
+// connection's batch scratch has grown, MuxWorker.Push encodes and flushes
+// a gradient with zero allocations — credit reservation included.
 func TestClientPushZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
 	}
-	conn := newSinkConn()
-	c := NewClient(conn)
-	defer c.Close()
+	g := NewMuxGroup(newSinkConn(), 1, MuxGroupOptions{})
+	defer g.Close()
+	c := g.Worker(0)
 	data := make([]float64, 512)
 	if err := c.Push(0, 0, data); err != nil { // warm the scratch
 		t.Fatal(err)
@@ -65,15 +101,13 @@ func TestClientPushZeroAllocs(t *testing.T) {
 	}
 }
 
-// startPair wires one worker to a fresh server over an in-memory pipe.
-func startPair(t *testing.T) (*Server, *Client) {
+// startPair wires one worker to a fresh server over its own connection.
+func startPair(t *testing.T) (*Server, *MuxWorker) {
 	t.Helper()
 	s := NewServer(1)
-	sc, cc := net.Pipe()
-	go s.Serve([]net.Conn{sc})
-	c := NewClient(cc)
-	t.Cleanup(func() { c.Close() })
-	return s, c
+	c := dialWorker(s, 0, MuxGroupOptions{}, nil)
+	t.Cleanup(func() { c.shutdown() })
+	return s, c.MuxWorker
 }
 
 // TestPushPullBatchRoundTrip drives a three-tensor batch through a real
@@ -138,10 +172,17 @@ func TestPushPullBatchFailsAsUnit(t *testing.T) {
 // TestShardedBatchRejectsCrossShard: the sharded wrapper only batches
 // same-destination tensors — one wire write goes to one shard.
 func TestShardedBatchRejectsCrossShard(t *testing.T) {
-	conns := []*sinkConn{newSinkConn(), newSinkConn()}
-	clients := []*Client{NewClient(conns[0]), NewClient(conns[1])}
-	sc := NewShardedClient(clients, func(tensor int) int { return tensor % 2 })
-	defer sc.Close()
+	groups := []*MuxGroup{
+		NewMuxGroup(newSinkConn(), 1, MuxGroupOptions{}),
+		NewMuxGroup(newSinkConn(), 1, MuxGroupOptions{}),
+	}
+	sc := NewShardedLinks([]*MuxWorker{groups[0].Worker(0), groups[1].Worker(0)},
+		func(tensor int) int { return tensor % 2 })
+	defer func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	}()
 	err := sc.PushPullBatch(0, []int{0, 1},
 		func(tensor int) []float64 { return nil },
 		func(tensor int, ch <-chan PullResult) {})
@@ -157,9 +198,10 @@ func TestShardedBatchRejectsCrossShard(t *testing.T) {
 // ErrConnLost and deregisters everything.
 func TestPushPullBatchConnLost(t *testing.T) {
 	conn := newSinkConn()
-	c := NewClient(conn)
+	g := NewMuxGroup(conn, 1, MuxGroupOptions{})
+	c := g.Worker(0)
 	conn.Close()
-	defer c.Close()
+	defer g.Close()
 	// The read loop may need a moment to observe the close; the write
 	// itself fails regardless.
 	err := c.PushPullBatch(0, []int{0},

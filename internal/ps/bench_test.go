@@ -14,15 +14,17 @@ var benchGrad = func() []float64 {
 	return xs
 }()
 
-// BenchmarkPS_PushPull measures a full single-worker round trip over an
-// in-memory pipe — push, pull request, aggregate, response, decode — with
-// the pulled buffer recycled each iteration.
+// BenchmarkPS_PushPull measures a full single-worker round trip over a
+// single-stream mux connection on an in-memory pipe — push, pull request,
+// aggregate, response, decode — with the pulled buffer recycled each
+// iteration.
 func BenchmarkPS_PushPull(b *testing.B) {
 	s := NewServer(1)
 	sc, cc := net.Pipe()
-	go s.Serve([]net.Conn{sc})
-	c := NewClient(cc)
-	defer c.Close()
+	go s.ServeMux(sc, []int{0})
+	g := NewMuxGroup(cc, 1, MuxGroupOptions{})
+	defer g.Close()
+	c := g.Worker(0)
 	b.SetBytes(int64(2 * 8 * len(benchGrad)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -47,9 +49,10 @@ func BenchmarkPS_PushPullBatch8(b *testing.B) {
 	const nt = 8
 	s := NewServer(1)
 	sc, cc := net.Pipe()
-	go s.Serve([]net.Conn{sc})
-	c := NewClient(cc)
-	defer c.Close()
+	go s.ServeMux(sc, []int{0})
+	g := NewMuxGroup(cc, 1, MuxGroupOptions{})
+	defer g.Close()
+	c := g.Worker(0)
 	tensors := make([]int, nt)
 	for t := range tensors {
 		tensors[t] = t

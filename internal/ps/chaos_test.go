@@ -18,19 +18,31 @@ import (
 // silently stranding it forever.
 func TestCorruptResponseFailsWaiter(t *testing.T) {
 	a, b := net.Pipe()
-	c := NewClient(a)
-	defer c.Close()
-	defer b.Close()
+	g := NewMuxGroup(a, 1, MuxGroupOptions{})
+	c := g.Worker(0)
+	defer g.Close()
+	peer := transport.NewMuxConn(b, transport.MuxOptions{Streams: 1})
+	defer peer.Close()
 	go func() {
 		// Act as the server: consume the pull request, answer with a
-		// 5-byte payload (not a multiple of 8).
-		if _, err := transport.ReadFrame(b); err != nil {
+		// 5-byte payload (not a multiple of 8), then keep reading so the
+		// client's credit grants never block.
+		stream, f, err := peer.Read()
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		transport.WriteFrame(b, &transport.Frame{
+		peer.Done(stream, f)
+		peer.SendFrame(0, &transport.Frame{
 			Type: transport.PullResp, Iter: 0, Tensor: 7, Payload: []byte{1, 2, 3, 4, 5},
 		})
+		for {
+			stream, f, err := peer.Read()
+			if err != nil {
+				return
+			}
+			peer.Done(stream, f)
+		}
 	}()
 	ch, err := c.PullAsync(0, 7)
 	if err != nil {
@@ -55,10 +67,7 @@ func TestCorruptResponseFailsWaiter(t *testing.T) {
 // pull forever.
 func TestLatePullIsProtocolError(t *testing.T) {
 	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	c := NewClient(a)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
+	c := dialWorker(srv, 0, MuxGroupOptions{}, nil)
 
 	if err := c.Push(0, 0, []float64{2}); err != nil {
 		t.Fatal(err)
@@ -71,12 +80,11 @@ func TestLatePullIsProtocolError(t *testing.T) {
 	if _, err := c.Pull(0, 0); err == nil {
 		t.Fatal("late pull succeeded, want protocol error")
 	}
-	err := <-done
+	err := <-c.served
 	if err == nil || !strings.Contains(err.Error(), "already served") {
-		t.Fatalf("Serve = %v, want already-served protocol error", err)
+		t.Fatalf("ServeMux = %v, want already-served protocol error", err)
 	}
-	c.Close()
-	b.Close()
+	c.g.Close()
 }
 
 // TestDropWorkerRenormalizesMean: dropping a silent worker completes the
@@ -118,13 +126,6 @@ func TestDropWorkerRenormalizesMean(t *testing.T) {
 // detected and dropped without any explicit DropWorker call.
 func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 	srv := NewServer(2)
-	conns := make([]net.Conn, 2)
-	clients := make([]*Client, 2)
-	for w := range conns {
-		a, b := transport.Pipe(0, 0)
-		conns[w] = b
-		clients[w] = NewClient(a)
-	}
 	var decided struct {
 		sync.Mutex
 		missing []int
@@ -135,8 +136,10 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 		decided.Unlock()
 		return true
 	})
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(conns) }()
+	clients := []*link{
+		dialWorker(srv, 0, MuxGroupOptions{}, nil),
+		dialWorker(srv, 1, MuxGroupOptions{}, nil),
+	}
 
 	if err := clients[0].Push(3, 1, []float64{8}); err != nil {
 		t.Fatal(err)
@@ -158,13 +161,53 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 		t.Fatal("straggler not dropped")
 	}
 	for _, c := range clients {
-		c.Close()
+		if err := c.shutdown(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
 	}
-	for _, b := range conns {
-		b.Close()
+}
+
+// TestStragglerTimerDisarmedAfterServe: once the last ServeMux returns, a
+// slot's armed straggler timer must not fire the policy callback — the
+// caller has torn the run down and reads its results.
+func TestStragglerTimerDisarmedAfterServe(t *testing.T) {
+	srv := NewServer(2)
+	fired := make(chan struct{}, 1)
+	const timeout = 200 * time.Millisecond
+	srv.SetStragglerPolicy(timeout, func(iter, tensor int, missing []int) bool {
+		fired <- struct{}{}
+		return false
+	})
+	clients := []*link{
+		dialWorker(srv, 0, MuxGroupOptions{}, nil),
+		dialWorker(srv, 1, MuxGroupOptions{}, nil),
 	}
-	if err := <-done; err != nil {
-		t.Errorf("serve: %v", err)
+	if err := clients[0].Push(0, 0, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clients[0].PullAsync(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the pull is parked (arming the timer), then shut down.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, pulls := srv.Stats(); pulls == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pull never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, c := range clients {
+		if err := c.shutdown(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}
+	select {
+	case <-fired:
+		t.Fatal("straggler policy fired after every connection closed")
+	case <-time.After(2 * timeout):
 	}
 }
 
@@ -172,15 +215,10 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 // ErrPullTimeout instead of hanging.
 func TestPullTimeout(t *testing.T) {
 	srv := NewServer(2)
-	conns := make([]net.Conn, 2)
-	clients := make([]*Client, 2)
-	for w := range conns {
-		a, b := transport.Pipe(0, 0)
-		conns[w] = b
-		clients[w] = NewClientWithOptions(a, Options{PullTimeout: 40 * time.Millisecond})
+	clients := make([]*link, 2)
+	for w := range clients {
+		clients[w] = dialWorker(srv, w, MuxGroupOptions{PullTimeout: 40 * time.Millisecond}, nil)
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(conns) }()
 
 	clients[0].Push(0, 0, []float64{1}) // worker 1 never pushes
 	_, err := clients[0].Pull(0, 0)
@@ -188,27 +226,17 @@ func TestPullTimeout(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPullTimeout", err)
 	}
 	for _, c := range clients {
-		c.Close()
-	}
-	for _, b := range conns {
-		b.Close()
-	}
-	if err := <-done; err != nil {
-		t.Errorf("serve: %v", err)
+		if err := c.shutdown(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
 	}
 }
 
 // TestOnWorkerFailureSeesCorruptFrame: a corrupted push payload surfaces
-// through the per-worker failure callback and Serve's return value instead
-// of being treated as a clean shutdown.
+// through the per-worker failure callback and ServeMux's return value
+// instead of being treated as a clean shutdown.
 func TestOnWorkerFailureSeesCorruptFrame(t *testing.T) {
 	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	// Flip the high byte of the 13-byte header's length prefix (offset 12):
-	// the announced payload balloons past MaxPayload and the server rejects
-	// the frame outright — a deterministic framing error.
-	fa := fault.CorruptAt(12).Wrap(a)
-	c := NewClient(fa)
 	failures := make(chan error, 1)
 	srv.OnWorkerFailure(func(w int, err error) {
 		if w != 0 {
@@ -216,8 +244,10 @@ func TestOnWorkerFailureSeesCorruptFrame(t *testing.T) {
 		}
 		failures <- err
 	})
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
+	// Flip the high byte of the 17-byte tagged header's length prefix
+	// (offset 16): the announced payload balloons past MaxPayload and the
+	// server rejects the frame outright — a deterministic framing error.
+	c := dialWorker(srv, 0, MuxGroupOptions{}, fault.CorruptAt(16).Wrap)
 
 	// A huge corrupted length prefix makes the server reject the frame.
 	c.Push(0, 0, make([]float64, 64))
@@ -229,88 +259,23 @@ func TestOnWorkerFailureSeesCorruptFrame(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("corrupt frame never surfaced as a worker failure")
 	}
-	c.Close()
-	b.Close()
-	if err := <-done; err == nil {
-		t.Fatal("Serve = nil, want worker error for corrupt frame")
+	if err := c.shutdown(); err == nil {
+		t.Fatal("ServeMux = nil, want worker error for corrupt frame")
 	} else {
 		var we *WorkerError
 		if !errors.As(err, &we) || we.Worker != 0 {
-			t.Fatalf("Serve = %v, want *WorkerError for worker 0", err)
-		}
-	}
-}
-
-// TestPullRetriesAcrossReconnect: a pull that loses its connection redials
-// through Options.Redial, the server re-attaches via ServeWorker, and the
-// response — whose slot survived because delivery never succeeded — lands.
-func TestPullRetriesAcrossReconnect(t *testing.T) {
-	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	redials := make(chan net.Conn, 4)
-	opts := Options{
-		PullTimeout: 5 * time.Second,
-		Backoff:     time.Millisecond,
-		Redial: func() (net.Conn, error) {
-			na, nb := transport.Pipe(0, 0)
-			redials <- nb
-			go srv.ServeWorker(0, nb)
-			return na, nil
-		},
-	}
-	c := NewClientWithOptions(a, opts)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
-
-	if err := c.Push(0, 0, []float64{5}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the push has been aggregated, then cut the link under the
-	// client — cleanly from the server's perspective (EOF), so Serve exits
-	// with no error, the slot survives, and the pull must reconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if p, _ := srv.Stats(); p == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("push never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	a.Close()
-	got, err := c.Pull(0, 0)
-	if err != nil {
-		t.Fatalf("pull across reconnect: %v", err)
-	}
-	if got[0] != 5 {
-		t.Fatalf("got %v, want [5]", got)
-	}
-	if err := <-done; err != nil {
-		t.Errorf("serve: %v", err)
-	}
-	c.Close()
-	for {
-		select {
-		case nb := <-redials:
-			nb.Close()
-		default:
-			return
+			t.Fatalf("ServeMux = %v, want *WorkerError for worker 0", err)
 		}
 	}
 }
 
 // TestInjectedDropSurfacesNotHangs: a connection dropped mid-frame by the
 // fault injector produces a descriptive failure on both sides — the pull
-// errors out and Serve attributes the failure — never a hang.
+// errors out and ServeMux attributes the failure — never a hang.
 func TestInjectedDropSurfacesNotHangs(t *testing.T) {
 	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	// 64 floats = 512-byte payload + 13-byte header; drop mid-payload.
-	fa := fault.DropAt(100).Wrap(a)
-	c := NewClientWithOptions(fa, Options{PullTimeout: 2 * time.Second})
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
+	// 64 floats = 512-byte payload + 17-byte tagged header; drop mid-payload.
+	c := dialWorker(srv, 0, MuxGroupOptions{PullTimeout: 2 * time.Second}, fault.DropAt(100).Wrap)
 
 	if err := c.Push(0, 0, make([]float64, 64)); !errors.Is(err, fault.ErrInjectedDrop) {
 		t.Fatalf("push err = %v, want ErrInjectedDrop", err)
@@ -318,25 +283,20 @@ func TestInjectedDropSurfacesNotHangs(t *testing.T) {
 	if _, err := c.Pull(0, 0); err == nil {
 		t.Fatal("pull on dropped connection succeeded")
 	}
-	err := <-done
+	err := c.shutdown()
 	var we *WorkerError
 	if !errors.As(err, &we) {
-		t.Fatalf("Serve = %v, want *WorkerError (mid-frame cut is not a clean close)", err)
+		t.Fatalf("ServeMux = %v, want *WorkerError (mid-frame cut is not a clean close)", err)
 	}
-	c.Close()
-	b.Close()
 }
 
 // TestStallDelaysButCompletes: a transient stall shorter than the pull
 // timeout delays the round trip without failing it.
 func TestStallDelaysButCompletes(t *testing.T) {
 	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
 	const stall = 60 * time.Millisecond
-	fa := fault.StallAt(20, stall).Wrap(a) // mid-push-frame
-	c := NewClientWithOptions(fa, Options{PullTimeout: 5 * time.Second})
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
+	// Offset 20 lies inside the first push frame (17-byte header + 24).
+	c := dialWorker(srv, 0, MuxGroupOptions{PullTimeout: 5 * time.Second}, fault.StallAt(20, stall).Wrap)
 
 	start := time.Now()
 	if err := c.Push(0, 0, []float64{1, 2, 3}); err != nil {
@@ -352,9 +312,7 @@ func TestStallDelaysButCompletes(t *testing.T) {
 	if got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	c.Close()
-	b.Close()
-	if err := <-done; err != nil {
+	if err := c.shutdown(); err != nil {
 		t.Errorf("serve: %v", err)
 	}
 }

@@ -1,15 +1,15 @@
 package ps
 
-// Multiplexed transport for the parameter server: N logical workers share
-// ONE physical connection in each direction instead of owning a socket and
-// two goroutines apiece.
+// The parameter server's wire: N logical workers share ONE physical
+// connection in each direction. N = 1 is a dedicated per-worker
+// connection; N = every in-process worker is the shared per-shard pipe.
 //
 // Server side, ServeMux runs the demux loop on the caller's goroutine and
 // one responder goroutine that owns all writes (pull responses and credit
 // grants) — two goroutines per physical connection regardless of how many
 // workers it carries. Client side, a MuxGroup owns one demux goroutine and
 // the transport's credit granter, and hands out per-worker MuxWorker
-// handles that implement the same WorkerLink surface as *Client.
+// handles. A connection therefore costs four goroutines end to end.
 //
 // Frames are tagged with a stream id equal to the worker's position in the
 // ServeMux ids slice (the MuxGroup uses worker id == stream id directly),
@@ -29,19 +29,11 @@ import (
 	"prophet/internal/transport"
 )
 
-// respSink routes a worker's pull responses to the goroutine that owns its
-// connection's writes (a mux responder), instead of a per-response
-// goroutine.
-type respSink interface {
-	enqueueResp(w int, k slotKey)
-}
-
 // ServeMux serves the given logical workers from one multiplexed
 // connection: frames on stream i belong to worker ids[i]. It blocks until
 // the connection closes, running the demux loop itself plus exactly one
 // responder goroutine, and returns the joined mid-stream failures of the
-// workers it carried (dropped workers' failures are suppressed, like
-// Serve).
+// workers it carried (dropped workers' failures are suppressed).
 func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 	if len(ids) == 0 {
 		return errors.New("ps: ServeMux with no workers")
@@ -60,8 +52,9 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 		stop:   make(chan struct{}),
 	}
 	s.mu.Lock()
+	s.serving++
 	for _, w := range ids {
-		s.sinks[w] = r
+		s.responders[w] = r
 	}
 	s.mu.Unlock()
 	var rwg sync.WaitGroup
@@ -108,14 +101,19 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 
 	// Teardown: close the conn first — the responder may be parked inside a
 	// credit reservation and only a close wakes it — then wait for it and
-	// unhook the sinks.
+	// unhook the responders.
 	close(r.stop)
 	mc.Close()
 	rwg.Wait()
 	s.mu.Lock()
 	for _, w := range ids {
-		if s.sinks[w] == r {
-			s.sinks[w] = nil
+		if s.responders[w] == r {
+			s.responders[w] = nil
+		}
+	}
+	if s.serving--; s.serving == 0 {
+		for _, sl := range s.slots {
+			sl.stopTimer()
 		}
 	}
 	s.mu.Unlock()
@@ -127,7 +125,9 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 			s.workerFailed(failWorker, connErr)
 		} else {
 			for _, w := range ids {
-				s.workerFailed(w, connErr)
+				if !s.IsDropped(w) {
+					s.workerFailed(w, connErr)
+				}
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 }
 
 // collectErrorsFor joins the failures of the given workers, skipping
-// dropped ones — ServeMux's per-connection slice of collectErrors.
+// dropped ones.
 func (s *Server) collectErrorsFor(ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +169,7 @@ type muxResponder struct {
 	stop   chan struct{}
 }
 
-// enqueueResp implements respSink.
+// enqueueResp queues worker w's response for slot k and wakes the loop.
 func (r *muxResponder) enqueueResp(w int, k slotKey) {
 	r.mu.Lock()
 	r.queue = append(r.queue, respJob{w, k})
@@ -243,8 +243,6 @@ func (r *muxResponder) respond(w int, k slotKey) error {
 }
 
 // MuxGroupOptions configures the client half of a multiplexed connection.
-// Redial is deliberately absent: a mux conn is shared by every in-process
-// worker, so reconnect policy belongs to whoever owns the group.
 type MuxGroupOptions struct {
 	// PullTimeout bounds each MuxWorker.Pull (0 = wait forever).
 	PullTimeout time.Duration
@@ -328,9 +326,8 @@ func (g *MuxGroup) readLoop() {
 	}
 }
 
-// MuxWorker is one logical worker's view of a MuxGroup — the mux
-// counterpart of *Client, sharing the group's connection and demux
-// goroutine. It implements WorkerLink.
+// MuxWorker is one logical worker's view of a MuxGroup, sharing the
+// group's connection and demux goroutine.
 type MuxWorker struct {
 	g      *MuxGroup
 	stream uint32
@@ -431,11 +428,15 @@ func (mw *MuxWorker) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 	return ch, nil
 }
 
-// PushPullBatch stages every tensor's push and pull request as one mux
-// batch: a single credit reservation and a single write on the shared
-// connection, interleaved by stream with other workers' batches. Semantics
-// match Client.PushPullBatch (channels delivered before any byte moves,
-// all-or-nothing registration).
+// PushPullBatch pushes every listed tensor and issues its pull request as
+// ONE mux batch: 2·len(tensors) frames, a single credit reservation and a
+// single write on the connection, interleaved by stream with other
+// workers' batches — the Parameter-Box-style batched wire format for all
+// same-destination tensors of one scheduler message. grad returns tensor
+// t's data (borrowed only for the duration of the call); res receives each
+// tensor's result channel, delivered before any byte hits the wire so a
+// response racing back can never be dropped. The batch fails as a unit: on
+// error no pull of this batch stays registered.
 func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
 	nreg := 0
 	var err error
@@ -477,7 +478,7 @@ func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int
 }
 
 // Pull issues a pull and waits for the result, bounded by the group's
-// PullTimeout. No redial: mux connections don't reconnect.
+// PullTimeout.
 func (mw *MuxWorker) Pull(iter, tensor int) ([]float64, error) {
 	ch, err := mw.PullAsync(iter, tensor)
 	if err != nil {

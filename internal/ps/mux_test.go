@@ -112,7 +112,7 @@ func TestMuxPushPullBatchInterleaved(t *testing.T) {
 // worker increase adds zero goroutines.
 func TestMuxGoroutineBudget(t *testing.T) {
 	measure := func(workers int) int {
-		before := runtime.NumGoroutine()
+		before := settledGoroutines(t)
 		_, g, shutdown := newMuxCluster(t, workers)
 		// One round so everything is spun up.
 		var wg sync.WaitGroup
@@ -128,7 +128,7 @@ func TestMuxGoroutineBudget(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		during := runtime.NumGoroutine() - before
+		during := settledGoroutines(t) - before
 		if err := shutdown(); err != nil {
 			t.Fatalf("serve (%d workers): %v", workers, err)
 		}
@@ -143,6 +143,25 @@ func TestMuxGoroutineBudget(t *testing.T) {
 	if small > 5 {
 		t.Fatalf("mux cluster costs %d goroutines, want ≤ 5", small)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20ms: goroutines that have signalled completion (a WaitGroup's Done,
+// a closed MuxGroup's credit granter) may still be unwinding.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(5 * time.Second)
+	for stable := time.Now(); time.Since(stable) < 20*time.Millisecond; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (%d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, time.Now()
+		}
+	}
+	return n
 }
 
 func TestMuxGroupCloseFailsPending(t *testing.T) {
@@ -319,7 +338,7 @@ func TestMuxShardedLinks(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			links := make([]WorkerLink, shards)
+			links := make([]*MuxWorker, shards)
 			for sh := range links {
 				links[sh] = groups[sh].Worker(w)
 			}

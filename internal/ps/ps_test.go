@@ -11,28 +11,48 @@ import (
 	"prophet/internal/transport"
 )
 
-// newCluster spins up a server plus W clients over in-memory pipes.
-func newCluster(t *testing.T, workers int) (*Server, []*Client, func()) {
+// link is one worker's dedicated connection: a single-stream MuxGroup on
+// the client end, the server's ServeMux on the other.
+type link struct {
+	*MuxWorker
+	g      *MuxGroup
+	served chan error // ServeMux's result, delivered once the conn closes
+}
+
+// dialWorker serves worker w of srv on its own single-stream ServeMux
+// connection — the per-worker wire emu.Run builds when Mux is off. wrap,
+// when non-nil, wraps the client end (fault injection).
+func dialWorker(srv *Server, w int, opts MuxGroupOptions, wrap func(net.Conn) net.Conn) *link {
+	a, b := transport.Pipe(0, 0)
+	if wrap != nil {
+		a = wrap(a)
+	}
+	l := &link{served: make(chan error, 1)}
+	go func() { l.served <- srv.ServeMux(b, []int{w}) }()
+	l.g = NewMuxGroup(a, 1, opts)
+	l.MuxWorker = l.g.Worker(0)
+	return l
+}
+
+// shutdown closes the connection and returns ServeMux's error.
+func (l *link) shutdown() error {
+	l.g.Close()
+	return <-l.served
+}
+
+// newCluster spins up a server plus W workers, each on its own connection.
+func newCluster(t *testing.T, workers int) (*Server, []*link, func()) {
 	t.Helper()
 	srv := NewServer(workers)
-	clients := make([]*Client, workers)
-	serverEnds := make([]net.Conn, workers)
-	for w := 0; w < workers; w++ {
-		a, b := transport.Pipe(0, 0)
-		serverEnds[w] = b
-		clients[w] = NewClient(a)
+	clients := make([]*link, workers)
+	for w := range clients {
+		clients[w] = dialWorker(srv, w, MuxGroupOptions{}, nil)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(serverEnds) }()
 	cleanup := func() {
 		for _, c := range clients {
-			c.Close()
-		}
-		for _, s := range serverEnds {
-			s.Close()
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("serve: %v", err)
+			if err := c.shutdown(); err != nil {
+				t.Errorf("serve: %v", err)
+			}
 		}
 	}
 	return srv, clients, cleanup
@@ -178,18 +198,14 @@ func TestDeterministicAggregationOrder(t *testing.T) {
 
 func TestDoublePushRejected(t *testing.T) {
 	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	client := NewClient(a)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
+	client := dialWorker(srv, 0, MuxGroupOptions{}, nil)
 	client.Push(0, 0, []float64{1})
 	client.Push(0, 0, []float64{2})
-	err := <-done
+	err := <-client.served
 	if err == nil {
 		t.Fatal("double push not rejected")
 	}
-	client.Close()
-	b.Close()
+	client.g.Close()
 }
 
 func TestServerStats(t *testing.T) {
@@ -205,10 +221,15 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
-func TestServeWrongConnCount(t *testing.T) {
+func TestServeMuxRejectsBadIDs(t *testing.T) {
 	srv := NewServer(2)
-	if err := srv.Serve(nil); err == nil {
-		t.Fatal("expected error")
+	for _, ids := range [][]int{nil, {2}, {-1}} {
+		a, b := transport.Pipe(0, 0)
+		if err := srv.ServeMux(b, ids); err == nil {
+			t.Fatalf("ServeMux(%v) accepted", ids)
+		}
+		a.Close()
+		b.Close()
 	}
 }
 
@@ -226,7 +247,8 @@ func TestDuplicatePullRejected(t *testing.T) {
 	// pending and the second must be rejected as a duplicate.
 	a, b := transport.Pipe(0, 0)
 	go io.Copy(io.Discard, b)
-	c := NewClient(a)
+	g := NewMuxGroup(a, 1, MuxGroupOptions{})
+	c := g.Worker(0)
 	go c.Pull(0, 0) // parks forever; released by Close below
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -244,6 +266,6 @@ func TestDuplicatePullRejected(t *testing.T) {
 	if _, err := c.Pull(0, 0); err == nil {
 		t.Fatal("duplicate pull not rejected")
 	}
-	c.Close()
+	g.Close()
 	b.Close()
 }

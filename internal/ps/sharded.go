@@ -5,24 +5,6 @@ import (
 	"fmt"
 )
 
-// WorkerLink is one worker's connection surface to a parameter server
-// shard. Two implementations exist: *Client (a dedicated socket with its
-// own reader goroutine, redial support) and *MuxWorker (a logical stream
-// on a connection shared by every in-process worker).
-type WorkerLink interface {
-	Push(iter, tensor int, data []float64) error
-	PullAsync(iter, tensor int) (<-chan PullResult, error)
-	PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error
-	Pull(iter, tensor int) ([]float64, error)
-	Recycle(data []float64)
-	Close() error
-}
-
-var (
-	_ WorkerLink = (*Client)(nil)
-	_ WorkerLink = (*MuxWorker)(nil)
-)
-
 // ShardedClient fans a worker's pushes and pulls across several parameter
 // server shards by a deterministic key→shard map: tensor t always talks to
 // shard of(t). Every worker and every shard server derives the same map
@@ -35,31 +17,21 @@ var (
 // block while a higher-priority one has unscheduled bytes) is the caller's
 // to enforce — internal/emu gates block dispatch for that.
 type ShardedClient struct {
-	links []WorkerLink
+	links []*MuxWorker
 	of    func(tensor int) int
 }
 
-// NewShardedClient builds a sharded view over one dedicated client per
-// shard. `of` maps a tensor index to its shard and must be total over the
-// tensors pushed; out-of-range results panic at use.
-func NewShardedClient(clients []*Client, of func(tensor int) int) *ShardedClient {
-	links := make([]WorkerLink, len(clients))
-	for i, c := range clients {
-		links[i] = c
-	}
-	return NewShardedLinks(links, of)
-}
-
-// NewShardedLinks is NewShardedClient over any per-shard links — the
-// constructor for mux transports, where each shard's link is a MuxWorker
-// on that shard's shared connection.
-func NewShardedLinks(links []WorkerLink, of func(tensor int) int) *ShardedClient {
+// NewShardedLinks builds a sharded view over one link per shard: each
+// shard's link is a MuxWorker on that shard's connection. `of` maps a
+// tensor index to its shard and must be total over the tensors pushed;
+// out-of-range results panic at use.
+func NewShardedLinks(links []*MuxWorker, of func(tensor int) int) *ShardedClient {
 	if len(links) == 0 {
-		panic("ps: NewShardedClient with no clients")
+		panic("ps: NewShardedLinks with no links")
 	}
 	if of == nil {
 		if len(links) > 1 {
-			panic("ps: NewShardedClient with multiple shards needs a key map")
+			panic("ps: NewShardedLinks with multiple shards needs a key map")
 		}
 		of = func(int) int { return 0 }
 	}
@@ -70,7 +42,7 @@ func NewShardedLinks(links []WorkerLink, of func(tensor int) int) *ShardedClient
 func (c *ShardedClient) Shards() int { return len(c.links) }
 
 // Shard returns shard s's underlying link.
-func (c *ShardedClient) Shard(s int) WorkerLink { return c.links[s] }
+func (c *ShardedClient) Shard(s int) *MuxWorker { return c.links[s] }
 
 // ShardOf returns the shard that owns tensor t.
 func (c *ShardedClient) ShardOf(t int) int {
@@ -93,7 +65,7 @@ func (c *ShardedClient) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 
 // PushPullBatch pushes the listed tensors — which must all live on one
 // shard — and issues their pull requests in one buffered write on that
-// shard's connection (see Client.PushPullBatch).
+// shard's connection (see MuxWorker.PushPullBatch).
 func (c *ShardedClient) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
 	if len(tensors) == 0 {
 		return nil
@@ -107,8 +79,9 @@ func (c *ShardedClient) PushPullBatch(iter int, tensors []int, grad func(tensor 
 	return c.links[s].PushPullBatch(iter, tensors, grad, res)
 }
 
-// Recycle hands a pull result's buffer back to the gradient pool (see
-// Client.Recycle).
+// Recycle hands a pull result's buffer back to the gradient pool. Optional
+// — an unrecycled result is ordinary garbage — but the caller must not use
+// data afterwards.
 func (c *ShardedClient) Recycle(data []float64) { floats.put(data) }
 
 // Pull blocks for the aggregated tensor from its shard's server.

@@ -24,25 +24,27 @@ func TestNewShardedLinksPanicsWithNoClients(t *testing.T) {
 }
 
 func TestNewShardedLinksPanicsWithoutKeyMap(t *testing.T) {
-	conns := []*sinkConn{newSinkConn(), newSinkConn()}
-	links := []WorkerLink{NewClient(conns[0]), NewClient(conns[1])}
+	groups := []*MuxGroup{
+		NewMuxGroup(newSinkConn(), 1, MuxGroupOptions{}),
+		NewMuxGroup(newSinkConn(), 1, MuxGroupOptions{}),
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic: multiple shards need a key map")
 		}
-		for _, l := range links {
-			l.Close()
+		for _, g := range groups {
+			g.Close()
 		}
 	}()
-	NewShardedLinks(links, nil)
+	NewShardedLinks([]*MuxWorker{groups[0].Worker(0), groups[1].Worker(0)}, nil)
 }
 
-// TestShardedClientDoubleClose pins Close idempotency across both link
-// flavors: the second Close must not panic, double-fail pending pulls, or
-// touch the other workers' streams.
+// TestShardedClientDoubleClose pins Close idempotency: the second Close
+// must not panic, double-fail pending pulls, or touch the other workers'
+// streams.
 func TestShardedClientDoubleClose(t *testing.T) {
 	_, g, shutdown := newMuxCluster(t, 2)
-	sc := NewShardedLinks([]WorkerLink{g.Worker(0)}, nil)
+	sc := NewShardedLinks([]*MuxWorker{g.Worker(0)}, nil)
 	if err := sc.Close(); err != nil {
 		t.Fatalf("first close: %v", err)
 	}

@@ -1,51 +1,37 @@
 package ps
 
 import (
-	"net"
 	"sync"
 	"testing"
-
-	"prophet/internal/transport"
 )
 
 // newShardedCluster spins up one server per shard and W sharded clients
-// routing tensor t to shard t % shards.
+// routing tensor t to shard t % shards, each worker×shard pair on its own
+// connection.
 func newShardedCluster(t *testing.T, workers, shards int) ([]*Server, []*ShardedClient, func()) {
 	t.Helper()
 	of := func(tensor int) int { return tensor % shards }
 	servers := make([]*Server, shards)
-	perShardClients := make([][]*Client, shards)
-	serveErr := make(chan error, shards)
-	var allConns []net.Conn
-	for s := 0; s < shards; s++ {
+	var all []*link
+	links := make([][]*MuxWorker, workers)
+	for w := range links {
+		links[w] = make([]*MuxWorker, shards)
+	}
+	for s := range servers {
 		servers[s] = NewServer(workers)
-		ends := make([]net.Conn, workers)
-		perShardClients[s] = make([]*Client, workers)
 		for w := 0; w < workers; w++ {
-			a, b := transport.Pipe(0, 0)
-			ends[w] = b
-			perShardClients[s][w] = NewClient(a)
-			allConns = append(allConns, b)
+			l := dialWorker(servers[s], w, MuxGroupOptions{}, nil)
+			links[w][s] = l.MuxWorker
+			all = append(all, l)
 		}
-		go func(s int, ends []net.Conn) { serveErr <- servers[s].Serve(ends) }(s, ends)
 	}
 	clients := make([]*ShardedClient, workers)
-	for w := 0; w < workers; w++ {
-		cl := make([]*Client, shards)
-		for s := 0; s < shards; s++ {
-			cl[s] = perShardClients[s][w]
-		}
-		clients[w] = NewShardedClient(cl, of)
+	for w := range clients {
+		clients[w] = NewShardedLinks(links[w], of)
 	}
 	cleanup := func() {
-		for _, c := range clients {
-			c.Close()
-		}
-		for _, c := range allConns {
-			c.Close()
-		}
-		for i := 0; i < shards; i++ {
-			if err := <-serveErr; err != nil {
+		for _, l := range all {
+			if err := l.shutdown(); err != nil {
 				t.Errorf("serve: %v", err)
 			}
 		}
@@ -97,7 +83,7 @@ func TestShardedPushPullAggregates(t *testing.T) {
 func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
 	_, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
-	sc := NewShardedClient([]*Client{clients[0]}, nil)
+	sc := NewShardedLinks([]*MuxWorker{clients[0].MuxWorker}, nil)
 	if err := sc.Push(0, 7, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +99,7 @@ func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
 func TestShardedClientRejectsBadMap(t *testing.T) {
 	_, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
-	sc := NewShardedClient([]*Client{clients[0]}, func(int) int { return 3 })
+	sc := NewShardedLinks([]*MuxWorker{clients[0].MuxWorker}, func(int) int { return 3 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on out-of-range shard")
